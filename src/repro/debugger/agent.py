@@ -149,6 +149,27 @@ class DebuggerAgent(ControlPlugin):
         self.send_command(process, PingCommand(ping_id=ping_id))
         return ping_id
 
+    def ask(self, wait, label: str, send, names, replies, timeout: float):
+        """One protocol round trip, driven from a wall-clock session's
+        thread: on ``d``'s own thread ``send(name)`` a request to each of
+        ``names``, then ``wait(predicate, timeout)`` for the reply filed in
+        ``replies`` under the id each send returned. Returns name -> reply,
+        ``None`` where none came in time. Only defers and reads append-only
+        intakes, so it is safe off ``d``'s thread."""
+        ids: Dict[ProcessId, int] = {}
+
+        def request() -> None:
+            for name in names:
+                ids[name] = send(name)
+
+        self.controller.defer(request, label=label)
+        wait(
+            lambda: len(ids) == len(names)
+            and all(rid in replies for rid in ids.values()),
+            timeout,
+        )
+        return {name: replies.get(ids.get(name)) for name in names}
+
     def answered(self, ping_id: int) -> bool:
         """True once the pong for ``ping_id`` arrived."""
         return ping_id in self.pongs

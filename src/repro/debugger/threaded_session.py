@@ -151,15 +151,50 @@ class ThreadedDebugSession:
     # -- execution control -----------------------------------------------------------
 
     def run_until_stopped(self, timeout: float = 30.0) -> bool:
-        """Wait until every user process halted (and traffic settled)."""
+        """Wait until every user process halted and the halt drained
+        (see :meth:`_drain`): the §2.2.4 halting order is complete on
+        return."""
         self.start()
         if not self.system.run_until(self.system.all_user_processes_halted,
                                      timeout=timeout):
             return False
-        settled = self.system.settle(timeout=timeout)
+        drained = self._drain(timeout)
         if self.observe is not None:
             self.observe.sync_session(self)
-        return settled
+        return drained
+
+    def _drained(self) -> bool:
+        """The paper's own end-of-halt condition, over the frozen
+        survivors: ``d`` holds each one's notification for the current
+        generation (§2.2.3), and each has seen that generation's marker on
+        every incoming channel from another survivor or from ``d`` — which
+        by FIFO closes the channel (Lemma 2.2): nothing is in flight."""
+        controllers = self.system.controllers
+        frozen = {
+            n for n in self.system.user_process_names
+            if controllers[n].halted and not controllers[n].crashed
+        }
+        generation = self.current_generation()
+        notified = {
+            n.process for n in self.agent.halt_notifications
+            if n.halt_id == generation
+        }
+        return frozen <= notified and all(
+            channel in controllers[name].closed_channels
+            for name in frozen
+            for channel in self.system.incoming_channels(name)
+            if channel.src in frozen or channel.src == self.debugger_name
+        )
+
+    def _drain(self, timeout: float) -> bool:
+        """Wait until the halt's traffic has landed: :meth:`_drained`, or
+        plain quiescence — a marker lost on a lossy unreliable channel
+        never closes its channel, and the quiet window is all that is
+        left to wait for."""
+        quiet = self.system.quiet_for()
+        return self.system.run_until(
+            lambda: self._drained() or quiet(), timeout=timeout
+        )
 
     def wait_quiet(self, timeout: float = 30.0) -> bool:
         """Wait for quiescence regardless of halting (program finished or
@@ -191,68 +226,44 @@ class ThreadedDebugSession:
         if not any(self.system.controller(n).halted for n in names):
             self.halt()
 
-        def generation() -> int:
-            return max(a.last_halt_id for a in self._halting_agents.values())
+        def halted(name: ProcessId) -> bool:
+            return self.system.controller(name).halted
 
-        if self.system.run_until(self.system.all_user_processes_halted,
-                                 timeout=timeout):
-            self.system.settle(timeout=timeout)
-            # A process may have halted and *then* crashed — its halted
-            # flag survives but it can never answer. Probe everyone.
-            dead = self._probe_dead(names, probe_grace)
-            if self.observe is not None:
-                self.observe.sync_session(self)
-            return PartialHaltReport(
-                generation=generation(),
-                halted=tuple(n for n in names if n not in dead),
-                dead=dead,
-                unresolved=(),
-                time=time.time(),
-                complete=not dead,
-            )
-        unhalted = [
-            n for n in names if not self.system.controller(n).halted
-        ]
-        dead = self._probe_dead(unhalted, probe_grace)
-        halted = tuple(n for n in names if self.system.controller(n).halted)
-        unresolved = tuple(
-            n for n in names if n not in halted and n not in dead
+        converged = self.system.run_until(
+            self.system.all_user_processes_halted, timeout=timeout
+        )
+        if converged:
+            self._drain(timeout)
+        # A process may have halted and *then* crashed — its halted flag
+        # survives but it can never answer. A converged halt probes everyone.
+        dead = self._probe_dead(
+            [n for n in names if converged or not halted(n)], probe_grace
         )
         if self.observe is not None:
             self.observe.sync_session(self)
         return PartialHaltReport(
-            generation=generation(),
-            halted=halted,
+            generation=self.current_generation(),
+            halted=tuple(n for n in names if halted(n) and n not in dead),
             dead=dead,
-            unresolved=unresolved,
+            unresolved=tuple(
+                n for n in names if not halted(n) and n not in dead
+            ),
             time=time.time(),
-            complete=False,
+            complete=converged and not dead,
         )
 
     def _probe_dead(self, suspects, probe_grace: float):
         """Ping each suspect from the debugger thread; silence through the
         grace window means the host is dead (live ones answer even halted)."""
-        suspects = list(suspects)
-        pings: Dict[ProcessId, int] = {}
-        debugger = self.system.controller(self.debugger_name)
-
-        def probe() -> None:
-            for name in suspects:
-                pings[name] = self.agent.send_ping(name)
-
-        debugger.defer(probe, label="watchdog_probe")
-        self.system.run_until(
-            lambda: len(pings) == len(suspects)
-            and all(pid in self.agent.pongs for pid in pings.values()),
-            timeout=probe_grace,
-        )
-        return tuple(
-            name for name in suspects if pings.get(name) not in self.agent.pongs
-        )
+        agent = self.agent
+        pongs = agent.ask(self.system.run_until, "watchdog_probe",
+                          agent.send_ping, list(suspects), agent.pongs,
+                          probe_grace)
+        return tuple(name for name, pong in pongs.items() if pong is None)
 
     def resume(self, timeout: float = 10.0) -> bool:
         """Send resume commands; wait until nobody is halted."""
-        generation = max(a.last_halt_id for a in self._halting_agents.values())
+        generation = self.current_generation()
         debugger = self.system.controller(self.debugger_name)
 
         def send_resumes() -> None:
@@ -276,21 +287,15 @@ class ThreadedDebugSession:
         ``delivered=False`` when there was nothing to step)."""
         if process not in self.system.user_process_names:
             raise ReproError(f"unknown process {process!r}")
-        holder: List[int] = []
-        debugger = self.system.controller(self.debugger_name)
-
-        def request() -> None:
-            holder.append(self.agent.send_step(process, channel=channel))
-
-        debugger.defer(request, label="step")
-        if not self.system.run_until(lambda: bool(holder), timeout=timeout):
-            raise HaltingError("debugger thread did not issue the step")
-        step_id = holder[0]
-        if not self.system.run_until(
-            lambda: step_id in self.agent.step_reports, timeout=timeout
-        ):
+        agent = self.agent
+        report = agent.ask(
+            self.system.run_until, "step",
+            lambda name: agent.send_step(name, channel=channel),
+            [process], agent.step_reports, timeout,
+        )[process]
+        if report is None:
             raise HaltingError(f"no step report from {process}")
-        return self.agent.step_reports[step_id]
+        return report
 
     def current_generation(self) -> int:
         """The highest halt_id any process has seen."""
@@ -307,28 +312,23 @@ class ThreadedDebugSession:
 
     def inspect(self, process: ProcessId, timeout: float = 10.0) -> Dict[str, object]:
         """Protocol-based state fetch (works live or halted)."""
-        holder: List[int] = []
-        debugger = self.system.controller(self.debugger_name)
-
-        def request() -> None:
-            holder.append(self.agent.request_state(process))
-
-        debugger.defer(request, label="inspect")
-        if not self.system.run_until(lambda: bool(holder), timeout=timeout):
-            raise HaltingError("debugger thread did not issue the request")
-        request_id = holder[0]
-        if not self.system.run_until(
-            lambda: request_id in self.agent.state_reports, timeout=timeout
-        ):
+        agent = self.agent
+        report = agent.ask(self.system.run_until, "inspect",
+                           agent.request_state, [process],
+                           agent.state_reports, timeout)[process]
+        if report is None:
             raise HaltingError(f"no state report from {process}")
-        return dict(self.agent.state_reports[request_id].snapshot.state)
+        return dict(report.snapshot.state)
 
     def global_state(self, timeout: float = 10.0,
                      allow_partial: bool = False):
         """Assemble the halted global state ``S_h`` from protocol state
         reports, exactly like the DES session does: one report per halted
         process, pending channel contents included. ``allow_partial``
-        accepts a cut over only the currently-halted processes."""
+        accepts a cut over only the currently-halted processes. Drains the
+        halt first (a no-op after :meth:`halt_with_watchdog` /
+        :meth:`run_until_stopped`), so a call racing the last markers
+        cannot drop an in-flight message from the cut."""
         from repro.snapshot.state import ChannelState, GlobalState
         from repro.util.ids import ChannelId
 
@@ -337,24 +337,16 @@ class ThreadedDebugSession:
         missing = [n for n in names if n not in halted]
         if missing and not allow_partial:
             raise HaltingError("global_state() requires all processes halted")
-        debugger = self.system.controller(self.debugger_name)
-        ids: Dict[ProcessId, int] = {}
-
-        def request() -> None:
-            for name in halted:
-                ids[name] = self.agent.request_state(name)
-
-        debugger.defer(request, label="global_state")
-        if not self.system.run_until(
-            lambda: len(ids) == len(halted)
-            and all(rid in self.agent.state_reports for rid in ids.values()),
-            timeout=timeout,
-        ):
+        self._drain(timeout)
+        agent = self.agent
+        reports = agent.ask(self.system.run_until, "global_state",
+                            agent.request_state, halted,
+                            agent.state_reports, timeout)
+        if None in reports.values():
             raise HaltingError("state reports did not all arrive")
         processes = {}
         channels: Dict[ChannelId, ChannelState] = {}
-        for name in halted:
-            report = self.agent.state_reports[ids[name]]
+        for name, report in reports.items():
             processes[name] = report.snapshot
             closed = set(report.closed_channels)
             for channel_text, messages in report.pending.items():

@@ -45,6 +45,7 @@ from repro.network.message import MessageKind
 from repro.runtime.interfaces import ControlPlugin
 from repro.runtime.process import Process
 from repro.runtime.threaded import _STOP, ThreadedController
+from repro.runtime.wake import Wake
 from repro.util.errors import CheckpointError, ReproError, WireError
 from repro.util.ids import ChannelId, ProcessId, SequenceGenerator
 
@@ -94,6 +95,9 @@ class HostRuntime:
         self._message_seqs = SequenceGenerator(start=1)
         self._activity = 0
         self._activity_lock = threading.Lock()
+        #: The same wake primitive the threaded backend waits on: the
+        #: local controller notifies it, the session's waits sleep on it.
+        self.wake = Wake()
         self._epoch = time.monotonic()
 
         never_halt = set(spec.never_halt)

@@ -152,6 +152,7 @@ class DistributedDebugSession:
                     "totals": frame.get("totals", {}),
                     "channels": frame.get("channels", {}),
                 }
+        self.system.wake.notify()
 
     def _on_port(self, frame: Dict[str, Any], conn: Any) -> None:
         """Parent side of the port rendezvous.
@@ -187,13 +188,8 @@ class DistributedDebugSession:
             self._port_conns.clear()
             self._ports_ready.set()
 
-    def _wait(self, condition, timeout: float, poll: float = 0.005) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if condition():
-                return True
-            time.sleep(poll)
-        return condition()
+    def _wait(self, condition, timeout: float) -> bool:
+        return self.system.wake.wait_for(condition, timeout)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -332,74 +328,46 @@ class DistributedDebugSession:
         if fresh:
             self.halt()
 
-        def generation() -> int:
-            return self._halting.last_halt_id
-
-        def converged() -> bool:
-            gen = generation()
+        def settled() -> bool:
+            # Everyone notified for this generation — except that members
+            # whose OS process is gone are excused: a corpse will never
+            # notify, so once everyone has either notified or died there
+            # is nothing left to wait for. Survivors still get their full
+            # chance — a corpse alone never cuts the wait short.
+            gen = self._halting.last_halt_id
             if fresh and gen <= gen0:
                 return False  # d's own initiation has not executed yet
-            return self._halted_of(gen) >= set(names)
-
-        def settled() -> bool:
-            # Converged, except that members whose OS process is gone are
-            # excused: a corpse will never notify, so once everyone has
-            # either notified for this generation or died there is nothing
-            # left to wait for. Survivors still get their full chance —
-            # a corpse alone never cuts the wait short.
-            gen = generation()
-            if fresh and gen <= gen0:
-                return False
             halted = self._halted_of(gen)
             return all(n in halted or not self.alive(n) for n in names)
 
-        if self._wait(settled, timeout=timeout) and converged():
-            dead = self._probe_dead(names, probe_grace)
-            if self.observe is not None:
-                self.observe.sync_session(self)
-            return PartialHaltReport(
-                generation=generation(),
-                halted=tuple(n for n in names if n not in dead),
-                dead=dead,
-                unresolved=(),
-                time=time.time(),
-                complete=not dead,
-            )
-        halted = self._halted_of(generation())
-        suspects = [n for n in names if n not in halted]
-        dead = self._probe_dead(suspects, probe_grace)
-        unresolved = tuple(
-            n for n in names if n not in halted and n not in dead
+        settled_in_time = self._wait(settled, timeout=timeout)
+        generation = self._halting.last_halt_id
+        halted = self._halted_of(generation)
+        converged = settled_in_time and halted >= set(names)
+        # Even a converged halt probes everyone: a process may have
+        # notified and *then* died.
+        dead = self._probe_dead(
+            [n for n in names if converged or n not in halted], probe_grace
         )
         if self.observe is not None:
             self.observe.sync_session(self)
         return PartialHaltReport(
-            generation=generation(),
-            halted=tuple(sorted(halted)),
+            generation=generation,
+            halted=tuple(n for n in names if n in halted and n not in dead),
             dead=dead,
-            unresolved=unresolved,
+            unresolved=tuple(
+                n for n in names if n not in halted and n not in dead
+            ),
             time=time.time(),
-            complete=False,
+            complete=converged and not dead,
         )
 
     def _probe_dead(self, suspects, probe_grace: float) -> Tuple[ProcessId, ...]:
         """Ping suspects from ``d``; no pong through the grace = dead host."""
-        suspects = list(suspects)
-        pings: Dict[ProcessId, int] = {}
-
-        def probe() -> None:
-            for name in suspects:
-                pings[name] = self.agent.send_ping(name)
-
-        self._host.controller.defer(probe, label="watchdog_probe")
-        self._wait(
-            lambda: len(pings) == len(suspects)
-            and all(pid in self.agent.pongs for pid in pings.values()),
-            timeout=probe_grace,
-        )
-        return tuple(
-            name for name in suspects if pings.get(name) not in self.agent.pongs
-        )
+        agent = self.agent
+        pongs = agent.ask(self._wait, "watchdog_probe", agent.send_ping,
+                          list(suspects), agent.pongs, probe_grace)
+        return tuple(name for name, pong in pongs.items() if pong is None)
 
     def run_until_stopped(self, timeout: float = 30.0) -> bool:
         """Wait until a breakpoint-initiated halt covers every process."""
@@ -455,23 +423,15 @@ class DistributedDebugSession:
                 targets = [n for n in targets if self.alive(n)]
             if set(targets) <= resumed:
                 break
-            pings: Dict[ProcessId, int] = {}
-            remaining = [n for n in targets if n not in resumed]
-
-            def probe(names: List[ProcessId] = remaining) -> None:
-                for name in names:
-                    pings[name] = self.agent.send_ping(name)
-
-            self._host.controller.defer(probe, label="resume_probe")
-            self._wait(
-                lambda: len(pings) == len(remaining)
-                and all(pid in self.agent.pongs for pid in pings.values()),
+            pongs = self.agent.ask(
+                self._wait, "resume_probe", self.agent.send_ping,
+                [n for n in targets if n not in resumed], self.agent.pongs,
                 timeout=min(1.0, max(0.05, deadline - time.monotonic())),
             )
-            for name, ping_id in pings.items():
-                pong = self.agent.pongs.get(ping_id)
-                if pong is not None and not pong.halted:
-                    resumed.add(name)
+            resumed.update(
+                name for name, pong in pongs.items()
+                if pong is not None and not pong.halted
+            )
         success = set(targets) <= resumed
         if success:
             self._resumed_generations.add(generation)
@@ -497,20 +457,15 @@ class DistributedDebugSession:
         nothing to step still answers (``delivered=False``)."""
         if process not in self.spec.user_names:
             raise ReproError(f"unknown process {process!r}")
-        holder: List[int] = []
-
-        def request() -> None:
-            holder.append(self.agent.send_step(process, channel=channel))
-
-        self._host.controller.defer(request, label="step")
-        if not self._wait(lambda: bool(holder), timeout=timeout):
-            raise HaltingError("debugger thread did not issue the step")
-        step_id = holder[0]
-        if not self._wait(
-            lambda: step_id in self.agent.step_reports, timeout=timeout
-        ):
+        agent = self.agent
+        report = agent.ask(
+            self._wait, "step",
+            lambda name: agent.send_step(name, channel=channel),
+            [process], agent.step_reports, timeout,
+        )[process]
+        if report is None:
             raise HaltingError(f"no step report from {process}")
-        return self.agent.step_reports[step_id]
+        return report
 
     # -- inspection ----------------------------------------------------------
 
@@ -518,20 +473,12 @@ class DistributedDebugSession:
         self, process: ProcessId, timeout: float = 10.0
     ) -> Dict[str, object]:
         """Protocol-based state fetch over the control channel."""
-        holder: List[int] = []
-
-        def request() -> None:
-            holder.append(self.agent.request_state(process))
-
-        self._host.controller.defer(request, label="inspect")
-        if not self._wait(lambda: bool(holder), timeout=timeout):
-            raise HaltingError("debugger thread did not issue the request")
-        request_id = holder[0]
-        if not self._wait(
-            lambda: request_id in self.agent.state_reports, timeout=timeout
-        ):
+        agent = self.agent
+        report = agent.ask(self._wait, "inspect", agent.request_state,
+                           [process], agent.state_reports, timeout)[process]
+        if report is None:
             raise HaltingError(f"no state report from {process}")
-        return dict(self.agent.state_reports[request_id].snapshot.state)
+        return dict(report.snapshot.state)
 
     def collect_global_state(
         self,
@@ -540,7 +487,7 @@ class DistributedDebugSession:
     ) -> GlobalState:
         """Assemble the consistent global state ``S_h`` from state reports.
 
-        Polls state requests until, for every halted process, every user
+        Re-requests state until, for every halted process, every user
         channel from another halted process is *closed* (the same-
         generation marker arrived behind the last user message — Lemma
         2.2's completeness signal), so no in-flight message can be missing
@@ -565,39 +512,26 @@ class DistributedDebugSession:
             ]
 
         deadline = time.monotonic() + timeout
-        reports: Dict[ProcessId, Any] = {}
         while True:
-            ids: Dict[ProcessId, int] = {}
-
-            def request() -> None:
-                for name in halted:
-                    ids[name] = self.agent.request_state(name)
-
-            self._host.controller.defer(request, label="collect_state")
-            self._wait(
-                lambda: len(ids) == len(halted)
-                and all(rid in self.agent.state_reports for rid in ids.values()),
+            reports = self.agent.ask(
+                self._wait, "collect_state", self.agent.request_state,
+                halted, self.agent.state_reports,
                 timeout=max(0.05, deadline - time.monotonic()),
             )
-            if len(ids) == len(halted) and all(
-                rid in self.agent.state_reports for rid in ids.values()
+            if None not in reports.values() and all(
+                str(channel) in reports[name].closed_channels
+                for name in halted
+                for channel in wanted_channels(name)
             ):
-                reports = {
-                    name: self.agent.state_reports[ids[name]] for name in halted
-                }
-                complete = all(
-                    str(channel) in reports[name].closed_channels
-                    for name in halted
-                    for channel in wanted_channels(name)
-                )
-                if complete:
-                    break
+                break
             if time.monotonic() >= deadline:
                 raise HaltingError(
                     "global state did not complete within the timeout "
                     "(some channels never saw their closing marker)"
                 )
-            time.sleep(0.02)
+            # A channel closes inside its receiver; d learns of it only by
+            # asking again, so the re-ask is paced by the wake's own timer.
+            self._wait(lambda: False, timeout=0.02)
 
         processes = {name: reports[name].snapshot for name in halted}
         channels: Dict[ChannelId, ChannelState] = {}

@@ -366,6 +366,20 @@ class Observability:
             events.set_total(count, process=name)
             rate.set(count / now if now > 0 else 0.0, process=name)
 
+        wake = getattr(system, "wake", None)  # wall-clock backends only
+        if wake is not None:
+            metrics.counter(
+                "wake_waits_total", "Session waits on the wake primitive."
+            ).set_total(wake.waits)
+            metrics.counter(
+                "wake_notified_wakeups_total",
+                "Waiter wake-ups caused by a notify (event-driven).",
+            ).set_total(wake.notified_wakeups)
+            metrics.counter(
+                "wake_fallback_wakeups_total",
+                "Waiter wake-ups caused by the re-check timer or a deadline.",
+            ).set_total(wake.fallback_wakeups)
+
         tracer = self.tracer
         metrics.histogram(
             "halt_latency", "Halt initiation to convergence, per generation."

@@ -36,6 +36,7 @@ from repro.runtime.interfaces import ControlPlugin
 from repro.runtime.payload import UserMessage
 from repro.runtime.process import Process
 from repro.runtime.state_capture import ProcessStateSnapshot, capture
+from repro.runtime.wake import Wake
 from repro.network.topology import Topology
 from repro.util.errors import (
     ConfigurationError,
@@ -461,6 +462,11 @@ class ThreadedController:
                 self._dispatch(item)
             finally:
                 self.system.note_activity(-1)
+                # Everything a session waits for becomes observable here:
+                # d's intake lists, or a frozen/dead controller's flags and
+                # closed channels. A running user process never notifies.
+                if self.never_halts or self.halted or self.crashed:
+                    self.system.wake.notify()
 
     def _dispatch(self, item: Tuple) -> None:
         kind = item[0]
@@ -756,6 +762,7 @@ class ThreadedController:
             self._muted = False
         for plugin in self._plugins:
             plugin.on_resumed()
+        self.system.wake.notify()  # ``halted`` flipped: resume() waits on it
         for envelope in replay:
             if self.halted:
                 self.halt_buffers.setdefault(envelope.channel, []).append(envelope)
@@ -955,6 +962,8 @@ class ThreadedSystem:
         self._activity = 0
         self._activity_lock = threading.Lock()
         self._idle = threading.Condition(self._activity_lock)
+        #: What every session wait sleeps on (see :mod:`repro.runtime.wake`).
+        self.wake = Wake()
         self._epoch = time.monotonic()
 
         never_halt = set(never_halt)
@@ -1226,37 +1235,36 @@ class ThreadedSystem:
             self.controllers[name].start()
         self._start_fault_timers()
 
-    def run_until(self, condition: Callable[[], bool], timeout: float = 30.0,
-                  poll: float = 0.002) -> bool:
+    def run_until(self, condition: Callable[[], bool],
+                  timeout: float = 30.0) -> bool:
         """Wait until ``condition()`` holds. Returns False on timeout."""
         if not self._started:
             self.start()
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if condition():
-                return True
-            time.sleep(poll)
-        return condition()
+        return self.wake.wait_for(condition, timeout)
+
+    def quiet_for(self, quiet: float = 0.05) -> Callable[[], bool]:
+        """A fresh quiescence predicate: no in-flight messages, empty
+        mailboxes, no armed timers, at every look for ``quiet`` seconds."""
+        since: Optional[float] = None
+
+        def stable() -> bool:
+            nonlocal since
+            busy = self.pending_activity > 0 or any(
+                not c.inbox.empty() or c._timers
+                for c in self.controllers.values()
+            )
+            now = time.monotonic()
+            if busy:
+                since = None
+            elif since is None:
+                since = now
+            return since is not None and now - since >= quiet
+
+        return stable
 
     def settle(self, quiet: float = 0.05, timeout: float = 30.0) -> bool:
-        """Wait for quiescence: no in-flight messages, empty mailboxes, no
-        armed timers, stable for ``quiet`` seconds."""
-        if not self._started:
-            self.start()
-        deadline = time.monotonic() + timeout
-        quiet_since: Optional[float] = None
-        while time.monotonic() < deadline:
-            busy = self.pending_activity > 0 or any(
-                not c.inbox.empty() for c in self.controllers.values()
-            ) or any(c._timers for c in self.controllers.values())
-            if busy:
-                quiet_since = None
-            elif quiet_since is None:
-                quiet_since = time.monotonic()
-            elif time.monotonic() - quiet_since >= quiet:
-                return True
-            time.sleep(0.005)
-        return False
+        """Wait for quiescence (:meth:`quiet_for`), False on timeout."""
+        return self.run_until(self.quiet_for(quiet), timeout)
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop every thread and wait for it to exit.
